@@ -1,17 +1,10 @@
-"""Kernel backend selection.
+"""The kernel module and its name.
 
-Imports the compiled kernels when the extension built, otherwise the pure
-twin.  Set GISALG_PURE=1 to force the fallback regardless.
+Both names are kept for the benchmark: ``bench/tracer.py`` wraps the
+functions of ``gisalg._backend.kernels``, and ``bench/workload.py`` writes
+``gisalg.BACKEND`` into every result.
 """
 
-import os
+from gisalg import _kernels_py as kernels
 
-if os.environ.get("GISALG_PURE"):
-    from gisalg import _kernels_py as kernels
-else:
-    try:
-        from gisalg import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from gisalg import _kernels_py as kernels
-
-BACKEND = kernels.BACKEND
+BACKEND = "pure"

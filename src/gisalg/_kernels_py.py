@@ -3,11 +3,8 @@
 A raw path is a pair of tuples (edges, verts) with len(verts) == len(edges)+1;
 verts[0] is the initial vertex and verts[-1] the terminal one.  A raw element
 is a flat 4-tuple (left_edges, left_verts, right_edges, right_verts), or None
-for the zero element.  The compiled twin in _kernels.pyx implements the same
-contract; tests assert the two backends agree call for call.
+for the zero element.
 """
-
-BACKEND = "pure"
 
 
 def suffix_of(se, sv, ue, uv):
@@ -34,12 +31,6 @@ def mul(a, b):
         if ve[k:] == ue and vv[k] == uv[0]:
             return (ve[:k] + te, vv[:k] + tv, we, wv)
     return None
-
-
-def inv(a):
-    if a is None:
-        return None
-    return (a[2], a[3], a[0], a[1])
 
 
 def leq(a, b):

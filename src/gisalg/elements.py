@@ -2,7 +2,7 @@
 
 A nonzero element is a pair (left, right) of paths with the same initial
 vertex, written "(left | right)".  Multiplication, inversion and the natural
-partial order run on raw tuples in the kernel backend.
+partial order run on raw tuples in the kernel module.
 """
 
 from gisalg._backend import kernels

@@ -74,13 +74,6 @@ class Path:
     def __repr__(self):
         return f"Path({self.literal()!r})"
 
-    def raw(self):
-        return (self.edges, self.verts)
-
-    @classmethod
-    def from_raw(cls, raw):
-        return cls(raw[0], raw[1])
-
 
 class Graph:
     """Finite directed multigraph with named vertices and edges.
@@ -422,19 +415,24 @@ def iter_paths(graph, start, removed=frozenset(), skip_first=frozenset(), max_le
     """
     removed = frozenset(removed)
     skip_first = frozenset(skip_first)
-
-    def walk(path):
-        yield path
-        if max_len is not None and len(path.edges) >= max_len:
-            return
-        for e in graph.out_edges(path.end):
-            if e in removed:
+    path = graph.empty_path(start)
+    yield path
+    if max_len is not None and max_len <= 0:
+        return
+    # each frame resumes the out-edges of its path where the last child left off
+    stack = [(path, iter(graph.out_edges(start)))]
+    while stack:
+        path, edges = stack[-1]
+        for e in edges:
+            if e in removed or (not path.edges and e in skip_first):
                 continue
-            if not path.edges and e in skip_first:
-                continue
-            yield from walk(Path(path.edges + (e,), path.verts + (graph.tgt(e),)))
-
-    yield from walk(graph.empty_path(start))
+            q = Path(path.edges + (e,), path.verts + (graph.tgt(e),))
+            yield q
+            if max_len is None or len(q.edges) < max_len:
+                stack.append((q, iter(graph.out_edges(q.end))))
+            break
+        else:
+            stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +442,24 @@ def iter_paths(graph, start, removed=frozenset(), skip_first=frozenset(), max_le
 def _simple_circuits_from(graph, s):
     # vertex-simple circuits based at s, in lexicographic edge order
     found = []
-
-    def walk(path, seen):
-        for e in graph.out_edges(path.end):
+    seen = {s}
+    stack = [(graph.empty_path(s), iter(graph.out_edges(s)))]
+    while stack:
+        path, edges = stack[-1]
+        for e in edges:
             t = graph.tgt(e)
+            if t != s and t in seen:
+                continue
             q = Path(path.edges + (e,), path.verts + (t,))
             if t == s:
                 found.append(q)
-            elif t not in seen:
-                walk(q, seen | {t})
-
-    walk(graph.empty_path(s), {s})
+            else:
+                seen.add(t)
+                stack.append((q, iter(graph.out_edges(t))))
+                break
+        else:
+            stack.pop()
+            seen.discard(path.end)
     return found
 
 

@@ -10,7 +10,7 @@ reduce to suffix arithmetic.
 
 from math import gcd
 
-from gisalg.elements import Element, idempotent, top
+from gisalg.elements import Element, element_key, enumerate_elements, idempotent, top
 from gisalg.errors import ConstructionError, ParseError, WrongKindError
 from gisalg.graphs import (
     Path,
@@ -191,14 +191,17 @@ def _canonical_ray(c, q):
     return best
 
 
+# number of defining paths per kind tag, for make() and for literals
+_ARITY = {"chain": 1, "cycle": 2, "infchain": 2, "improper": 0}
+
+
 def make(kind, *paths):
     """Build a subsemigroup from its kind tag and defining paths."""
-    arity = {"chain": 1, "cycle": 2, "infchain": 2, "improper": 0}
-    if kind not in arity:
+    if kind not in _ARITY:
         raise ConstructionError(f"unknown subsemigroup kind {kind!r}")
-    if len(paths) != arity[kind]:
+    if len(paths) != _ARITY[kind]:
         raise ConstructionError(
-            f"{kind} takes {arity[kind]} path(s), got {len(paths)}"
+            f"{kind} takes {_ARITY[kind]} path(s), got {len(paths)}"
         )
     if kind == "chain":
         return FiniteChain(paths[0])
@@ -216,11 +219,10 @@ def parse_subsemigroup(graph, text):
     if not tokens:
         raise ParseError("empty subsemigroup literal")
     kind, args = tokens[0], tokens[1:]
-    arity = {"chain": 1, "cycle": 2, "infchain": 2, "improper": 0}
-    if kind not in arity:
+    if kind not in _ARITY:
         raise ParseError(f"unknown subsemigroup kind {kind!r}")
-    if len(args) != arity[kind]:
-        raise ParseError(f"{kind} takes {arity[kind]} path literal(s), got {len(args)}")
+    if len(args) != _ARITY[kind]:
+        raise ParseError(f"{kind} takes {_ARITY[kind]} path literal(s), got {len(args)}")
     return make(kind, *(parse_path(graph, a) for a in args))
 
 
@@ -363,9 +365,5 @@ def bounded_elements(sub, max_len, graph=None):
             raise ConstructionError(
                 "bounded enumeration of the improper subsemigroup needs the graph"
             )
-        from gisalg.elements import enumerate_elements
-
         return enumerate_elements(graph, max_len)
-    from gisalg.elements import element_key
-
     return sorted(items, key=element_key)

@@ -1,6 +1,6 @@
 """The command line front end, exercised in-process through main(argv).
 
-A couple of determinism checks spawn real subprocesses, once per backend.
+A couple of determinism checks spawn real subprocesses, once per hash seed.
 """
 
 import json
@@ -191,6 +191,17 @@ def test_argparse_failures_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_index_on_a_long_ring_file(capsys, tmp_path):
+    n = 1200
+    lines = [f"vertex r{i}" for i in range(n)]
+    lines += [f"edge x{i} r{i} r{(i + 1) % n}" for i in range(n)]
+    graph = tmp_path / "ring.graph"
+    graph.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "index", str(graph), "chain x0")
+    assert code == 0, err
+    assert out.startswith("infinite\n")
+
+
 def test_domain_errors_exit_1(capsys):
     code, out, err = run_cli(capsys, "cosets", "loopx", "chain e.f")
     assert code == 1 and out == ""
@@ -229,8 +240,9 @@ def test_repeat_invocations_identical(capsys):
 
 @pytest.mark.parametrize("cmd", CMDS, ids=lambda c: c[0])
 def test_backends_emit_identical_bytes(cmd):
-    def spawn(extra_env):
-        env = dict(os.environ, **extra_env)
+    # set iteration order differs between hash seeds; the output must not
+    def spawn(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         return subprocess.run(
             [sys.executable, "-m", "gisalg.cli", *cmd],
             capture_output=True,
@@ -238,7 +250,7 @@ def test_backends_emit_identical_bytes(cmd):
             cwd=str(FIXTURE_DIR.parent),
         )
 
-    compiled = spawn({})
-    pure = spawn({"GISALG_PURE": "1"})
-    assert compiled.returncode == pure.returncode == 0
-    assert compiled.stdout == pure.stdout
+    first = spawn("0")
+    second = spawn("1")
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout

@@ -12,6 +12,7 @@ import pytest
 from gisalg import (
     Count,
     FiniteChain,
+    Graph,
     IMPROPER,
     INFINITE,
     InfiniteIndexError,
@@ -131,6 +132,18 @@ def test_index_unconditionally_infinite(bouquet2, loopx):
     cnt, wit = index_verdict(loopx, sub)
     assert cnt == INFINITE
     assert check_escape_witness(loopx, sub.q, wit)
+
+
+def test_index_on_a_ring_longer_than_the_recursion_limit():
+    n = 3000
+    ring = Graph(
+        [f"r{i}" for i in range(n)],
+        {f"x{i}": (f"r{i}", f"r{(i + 1) % n}") for i in range(n)},
+    )
+    sub = parse_subsemigroup(ring, "chain x0")
+    cnt, wit = index_verdict(ring, sub)
+    assert cnt == INFINITE
+    assert check_escape_witness(ring, sub.w, wit)
 
 
 def test_index_improper(loopx):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gisalg
 from bruteforce import bf_inv, bf_leq, bf_mul, bf_paths, bf_suffix
 from gisalg import (
     ZERO,
@@ -34,6 +35,13 @@ def elem(g, lw, rw):
 @pytest.fixture(scope="module")
 def universe2(bouquet2):
     return enumerate_elements(bouquet2, 2)
+
+
+def test_kernel_names_the_benchmark_reads():
+    # the benchmark records BACKEND in every result and traces these kernels
+    assert gisalg.BACKEND == "pure"
+    for name in ("mul", "leq", "rays", "top", "suffix_of", "saturate"):
+        assert callable(getattr(gisalg._backend.kernels, name))
 
 
 def test_construction(loopx):

@@ -23,6 +23,7 @@ from gisalg import (
     ParseError,
     Path,
     UnknownVertexError,
+    chain,
     check_escape_witness,
     circuit_shift,
     concat,
@@ -66,7 +67,6 @@ def test_path_basics(loopx):
     assert (p.start, p.end, len(p)) == ("x", "z", 2)
     assert p.literal() == "e.f"
     assert loopx.empty_path("y").literal() == "@y"
-    assert Path.from_raw(p.raw()) == p
     with pytest.raises(AttributeError):
         p.edges = ()
 
@@ -278,6 +278,10 @@ def test_iter_paths_matches_bruteforce(loopx, n):
     got = list(iter_paths(loopx, "x", max_len=n))
     assert len(got) == len(set(got))
     assert set(got) == set(bf_paths(loopx, "x", n))
+
+
+def test_iter_paths_walks_deeper_than_the_recursion_limit():
+    assert len(list(iter_paths(chain(5000), "v5000"))) == 5001
 
 
 # ------------------------------------------------- escape witnesses
