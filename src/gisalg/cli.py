@@ -5,7 +5,7 @@ literals: paths as '@v' or 'e1.e2', elements as '(left|right)' or '0',
 subsemigroups as 'chain <p>', 'cycle <p> <d>', 'infchain <c> <q>' or
 'improper' in a single shell argument.  Output is plain text, or one JSON
 object with --json.  Exit status: 0 ok, 1 domain error (category named on
-stderr), 2 parse error.
+stderr), 2 parse error, 3 internal error (traceback on stderr).
 """
 
 import argparse
@@ -34,7 +34,7 @@ def load_graph(source):
         try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {source!r}: {exc}") from None
         return parse_graph(text)
     g = fixture(source)
@@ -208,6 +208,14 @@ def main(argv=None):
     except GisalgError as exc:
         print(f"{exc.category} error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a fault in gisalg itself, never reported as a domain error; the
+        # import is here to keep it out of every start-up of the CLI
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if ns.json:
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -1,19 +1,28 @@
 """Elements of the graph inverse semigroup S(G).
 
 A nonzero element is a pair (left, right) of paths with the same initial
-vertex, written "(left | right)".  Multiplication, inversion and the natural
-partial order run on raw tuples in the kernel module.
+vertex, written "(left | right)".  Element is that pair itself, so the
+kernels compute on it directly; their results are wrapped back without
+validating again.
 """
+
+from operator import itemgetter
 
 from gisalg._backend import kernels
 from gisalg.errors import ConstructionError, ParseError, ZeroUpSetError
 from gisalg.graphs import Path, iter_paths, parse_path
 
+_new = tuple.__new__
 
-class Element:
-    """One element of S(G); left is None exactly for the zero element."""
 
-    __slots__ = ("left", "right")
+class Element(tuple):
+    """One element of S(G): the pair (left, right), or (None, None) for
+    zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, left, right):
+        return tuple.__new__(cls, (left, right))
 
     def __init__(self, left, right):
         if (left is None) != (right is None):
@@ -22,30 +31,17 @@ class Element:
             raise ConstructionError(
                 f"components start at {left.start!r} and {right.start!r}"
             )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
 
     @property
     def is_zero(self):
-        return self.left is None
+        return self[0] is None
 
     @property
     def is_idempotent(self):
-        return self.is_zero or self.left == self.right
-
-    def raw(self):
-        if self.left is None:
-            return None
-        return (self.left.edges, self.left.verts, self.right.edges, self.right.verts)
-
-    @classmethod
-    def from_raw(cls, raw):
-        if raw is None:
-            return ZERO
-        return cls(Path(raw[0], raw[1]), Path(raw[2], raw[3]))
+        return self[0] is None or self[0] == self[1]
 
     def literal(self):
         if self.is_zero:
@@ -55,14 +51,6 @@ class Element:
     def __repr__(self):
         return f"Element({self.literal()!r})"
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
     def __mul__(self, other):
         return multiply(self, other)
 
@@ -70,23 +58,31 @@ class Element:
 ZERO = Element(None, None)
 
 
+def _trusted(r):
+    # a kernel result: its components are coinitial paths by construction
+    left, right = r
+    if left is None:
+        return ZERO
+    return _new(Element, (_new(Path, left), _new(Path, right)))
+
+
 def idempotent(p):
     return Element(p, p)
 
 
 def multiply(a, b):
-    return Element.from_raw(kernels.mul(a.raw(), b.raw()))
+    return _trusted(kernels.mul(a, b))
 
 
 def inverse(a):
     if a.is_zero:
         return ZERO
-    return Element(a.right, a.left)
+    return _new(Element, (a[1], a[0]))
 
 
 def natural_leq(a, b):
     """a <= b in the natural partial order; zero sits below everything."""
-    return kernels.leq(a.raw(), b.raw())
+    return kernels.leq(a, b)
 
 
 def up_set(a):
@@ -94,7 +90,7 @@ def up_set(a):
     up-set is the whole semigroup."""
     if a.is_zero:
         raise ZeroUpSetError("the up-set of zero is the whole semigroup")
-    return [Element.from_raw(r) for r in kernels.rays(a.raw())]
+    return [_trusted(r) for r in kernels.rays(a)]
 
 
 def top(a):
@@ -102,7 +98,7 @@ def top(a):
     prefix."""
     if a.is_zero:
         raise ZeroUpSetError("the up-set of zero is the whole semigroup")
-    return Element.from_raw(kernels.top(a.raw()))
+    return _trusted(kernels.top(a))
 
 
 def element_key(a):

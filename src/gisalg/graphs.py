@@ -8,6 +8,7 @@ consult the graph again.
 
 import re
 from collections import deque
+from operator import itemgetter
 
 from gisalg._backend import kernels
 from gisalg.errors import (
@@ -28,43 +29,36 @@ def _check_name(name, what):
         )
 
 
-class Path:
-    """A directed path: edge ids plus the vertex itinerary they visit.
+class Path(tuple):
+    """A directed path: the pair (edge ids, vertex itinerary they visit).
 
     len(verts) == len(edges) + 1 always; an empty path is a single vertex.
+    len(p) is the number of edges, not the size of the pair.
     """
 
-    __slots__ = ("edges", "verts")
+    __slots__ = ()
+
+    def __new__(cls, edges, verts):
+        return tuple.__new__(cls, (tuple(edges), tuple(verts)))
 
     def __init__(self, edges, verts):
-        edges = tuple(edges)
-        verts = tuple(verts)
-        if len(verts) != len(edges) + 1:
+        # validated here, not in __new__, so a wrapper of __init__ sees it
+        if len(self[1]) != len(self[0]) + 1:
             raise ConstructionError("path needs one more vertex than edges")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "verts", verts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Path is immutable")
+    edges = property(itemgetter(0))
+    verts = property(itemgetter(1))
 
     @property
     def start(self):
-        return self.verts[0]
+        return self[1][0]
 
     @property
     def end(self):
-        return self.verts[-1]
+        return self[1][-1]
 
     def __len__(self):
-        return len(self.edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self.edges == other.edges and self.verts == other.verts
-
-    def __hash__(self):
-        return hash((self.edges, self.verts))
+        return len(self[0])
 
     def literal(self):
         if not self.edges:
@@ -200,7 +194,7 @@ def power(p, k):
 
 def is_suffix(s, u):
     """True iff u = p.s for some path p (the empty p included)."""
-    return kernels.suffix_of(s.edges, s.verts, u.edges, u.verts)
+    return kernels.suffix_of(s, u)
 
 
 def suffix_comparable(u, v):
@@ -422,17 +416,24 @@ def iter_paths(graph, start, removed=frozenset(), skip_first=frozenset(), max_le
     # each frame resumes the out-edges of its path where the last child left off
     stack = [(path, iter(graph.out_edges(start)))]
     while stack:
-        path, edges = stack[-1]
+        (pe, pv), edges = stack[-1]
         for e in edges:
-            if e in removed or (not path.edges and e in skip_first):
+            if e in removed or (not pe and e in skip_first):
                 continue
-            q = Path(path.edges + (e,), path.verts + (graph.tgt(e),))
+            t = graph.tgt(e)
+            q = _extended(pe, pv, e, t)
             yield q
-            if max_len is None or len(q.edges) < max_len:
-                stack.append((q, iter(graph.out_edges(q.end))))
+            if max_len is None or len(pe) + 1 < max_len:
+                stack.append((q, iter(graph.out_edges(t))))
             break
         else:
             stack.pop()
+
+
+def _extended(edges, verts, e, t):
+    # the path (edges, verts) followed by edge e into t; callers walk the
+    # out-edges of its end, so the result needs no validation
+    return tuple.__new__(Path, (edges + (e,), verts + (t,)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +446,12 @@ def _simple_circuits_from(graph, s):
     seen = {s}
     stack = [(graph.empty_path(s), iter(graph.out_edges(s)))]
     while stack:
-        path, edges = stack[-1]
+        (pe, pv), edges = stack[-1]
         for e in edges:
             t = graph.tgt(e)
             if t != s and t in seen:
                 continue
-            q = Path(path.edges + (e,), path.verts + (t,))
+            q = _extended(pe, pv, e, t)
             if t == s:
                 found.append(q)
             else:
@@ -459,7 +460,7 @@ def _simple_circuits_from(graph, s):
                 break
         else:
             stack.pop()
-            seen.discard(path.end)
+            seen.discard(pv[-1])
     return found
 
 
@@ -470,14 +471,14 @@ def _reach_path(graph, v0, targets, blocked):
     seen = {v0}
     queue = deque([Path((), (v0,))])
     while queue:
-        p = queue.popleft()
-        for e in graph.out_edges(p.end):
+        pe, pv = queue.popleft()
+        for e in graph.out_edges(pv[-1]):
             if e in blocked:
                 continue
             t = graph.tgt(e)
             if t in seen:
                 continue
-            q = Path(p.edges + (e,), p.verts + (t,))
+            q = _extended(pe, pv, e, t)
             if t in targets:
                 return q
             seen.add(t)

@@ -6,7 +6,8 @@ package is tested against it.
 """
 
 from gisalg._backend import kernels
-from gisalg.elements import Element, element_key, enumerate_elements, inverse, multiply, top
+from gisalg.elements import Element, _trusted, element_key, enumerate_elements
+from gisalg.elements import inverse, multiply, top
 from gisalg.errors import ConstructionError
 from gisalg.subsemigroups import membership
 
@@ -14,23 +15,19 @@ from gisalg.subsemigroups import membership
 class BoundedUniverse:
     """All elements of S(G) with components of length <= max_len."""
 
-    __slots__ = ("graph", "max_len", "elements", "_raws")
+    __slots__ = ("graph", "max_len", "elements", "_nonzero")
 
     def __init__(self, graph, max_len):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "max_len", max_len)
         object.__setattr__(self, "elements", enumerate_elements(graph, max_len))
-        object.__setattr__(
-            self,
-            "_raws",
-            frozenset(e.raw() for e in self.elements if not e.is_zero),
-        )
+        object.__setattr__(self, "_nonzero", frozenset(self.elements[1:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("BoundedUniverse is immutable")
 
     def __contains__(self, x):
-        return x.is_zero or x.raw() in self._raws
+        return x.is_zero or x in self._nonzero
 
     def __repr__(self):
         return f"BoundedUniverse(max_len={self.max_len}, {len(self.elements)} elements)"
@@ -47,8 +44,8 @@ def closure_saturate(universe, gens):
     for g in gens:
         if g not in universe:
             raise ConstructionError(f"generator {g.literal()} is outside the universe")
-    closed, saw_zero = kernels.saturate(universe._raws, [g.raw() for g in gens])
-    members = sorted((Element.from_raw(r) for r in closed), key=element_key)
+    closed, saw_zero = kernels.saturate(universe._nonzero, gens)
+    members = sorted(map(_trusted, closed), key=element_key)
     return members, saw_zero
 
 

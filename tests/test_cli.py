@@ -171,18 +171,32 @@ def test_json_conjugate_witness(capsys):
 # ------------------------------------------------------ failure modes
 
 
-def test_parse_errors_exit_2(capsys):
+def test_parse_errors_exit_2(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin1.graph"
+    not_utf8.write_bytes(b"vertex v\xff\n")
     for argv in [
         ["multiply", "loopx", "(e.f|e.k", "(f|f)"],
         ["multiply", "loopx", "(e.f|e.q)", "(f|f)"],
         ["member", "loopx", "chain e.f.g", "(f|f)"],
         ["index", "nosuchfixture", "improper"],
         ["classify", "loopx", "ring a.a"],
+        ["index", str(not_utf8), "improper"],
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("parse error:"), (argv, err)
         assert out == ""
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    def broken(a, b):
+        raise RuntimeError("broken kernel")
+
+    monkeypatch.setattr("gisalg.cli.multiply", broken)
+    code, out, err = run_cli(capsys, "multiply", "loopx", "(f|f)", "(f|f)")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "internal error: RuntimeError: broken kernel"
 
 
 def test_argparse_failures_exit_2(capsys):
@@ -239,7 +253,7 @@ def test_repeat_invocations_identical(capsys):
 
 
 @pytest.mark.parametrize("cmd", CMDS, ids=lambda c: c[0])
-def test_backends_emit_identical_bytes(cmd):
+def test_output_independent_of_hash_seed(cmd):
     # set iteration order differs between hash seeds; the output must not
     def spawn(hash_seed):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)

@@ -13,7 +13,10 @@ from gisalg import (
     ConstructionError,
     Element,
     ParseError,
+    Path,
     ZeroUpSetError,
+    closure_saturate,
+    coset_representatives,
     element_key,
     enumerate_elements,
     idempotent,
@@ -21,9 +24,11 @@ from gisalg import (
     multiply,
     natural_leq,
     parse_element,
+    parse_subsemigroup,
     top,
     up_set,
 )
+from gisalg.oracle import BoundedUniverse
 
 words = st.lists(st.sampled_from("ab"), min_size=0, max_size=4)
 
@@ -37,11 +42,49 @@ def universe2(bouquet2):
     return enumerate_elements(bouquet2, 2)
 
 
-def test_kernel_names_the_benchmark_reads():
+def test_kernel_names_the_benchmark_reads(loopx):
     # the benchmark records BACKEND in every result and traces these kernels
     assert gisalg.BACKEND == "pure"
     for name in ("mul", "leq", "rays", "top", "suffix_of", "saturate"):
         assert callable(getattr(gisalg._backend.kernels, name))
+    # it counts constructions by wrapping __init__ with a pass-through
+    built = []
+
+    def counting(init):
+        def counted(obj, *args, **kwargs):
+            built.append(type(obj))
+            init(obj, *args, **kwargs)
+
+        return counted
+
+    originals = {cls: cls.__init__ for cls in (Path, Element)}
+    try:
+        for cls, init in originals.items():
+            cls.__init__ = counting(init)
+        assert loopx.path(["e", "f"]).literal() == "e.f"
+        x = parse_element(loopx, "(e.f|e.k)")
+        assert multiply(x, inverse(x)).literal() == "(e.f|e.f)"
+        assert Path in built and Element in built
+    finally:
+        for cls, init in originals.items():
+            cls.__init__ = init
+
+
+def test_results_are_elements_of_paths(loopx):
+    # kernel results must come back wrapped, never as bare nested tuples
+    x = parse_element(loopx, "(a.e.f|a.e.k)")
+    y = parse_element(loopx, "(e.k|e.f)")
+    sub = parse_subsemigroup(loopx, "cycle a.a e.f")
+    gens = [parse_element(loopx, "(e.f|a.e.f)")]
+    members, _ = closure_saturate(BoundedUniverse(loopx, 3), gens)
+    results = [multiply(x, y), multiply(y, x), inverse(x), top(x)]
+    results += up_set(x) + members + coset_representatives(loopx, sub)
+    for r in results:
+        assert type(r) is Element, r
+        assert type(r.left) is Path and type(r.right) is Path, r
+        again = parse_element(loopx, r.literal())
+        assert r == again and hash(r) == hash(again), r
+    assert multiply(x, parse_element(loopx, "(g|g)")) is ZERO
 
 
 def test_construction(loopx):
@@ -55,7 +98,9 @@ def test_construction(loopx):
     assert not x.is_zero and not x.is_idempotent
     assert idempotent(ef).is_idempotent
     assert ZERO.is_zero and ZERO.is_idempotent
-    assert Element.from_raw(x.raw()) == x and Element.from_raw(None) is ZERO
+    # an element is the pair of its components, hashed as that pair
+    assert x == (x.left, x.right) and hash(x) == hash((x.left, x.right))
+    assert ZERO == (None, None) and hash(ZERO) == hash((None, None))
     with pytest.raises(AttributeError):
         x.left = k
 

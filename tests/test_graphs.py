@@ -65,6 +65,9 @@ def test_path_validation():
 def test_path_basics(loopx):
     p = loopx.path(["e", "f"])
     assert (p.start, p.end, len(p)) == ("x", "z", 2)
+    # len counts edges, not the (edges, verts) pair a path is stored as
+    assert len(loopx.path(["a", "e", "f"])) == 3
+    assert len(loopx.empty_path("y")) == 0
     assert p.literal() == "e.f"
     assert loopx.empty_path("y").literal() == "@y"
     with pytest.raises(AttributeError):
