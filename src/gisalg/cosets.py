@@ -20,8 +20,8 @@ from gisalg.errors import InfiniteIndexError, NotACosetError
 from gisalg.graphs import (
     INFINITE,
     Count,
+    PathCounts,
     concat,
-    count_N,
     find_escape_circuit,
     iter_paths,
     power,
@@ -130,10 +130,7 @@ def index_verdict(graph, sub):
         wit = find_escape_circuit(graph, sub.w)
         if wit is not None:
             return INFINITE, wit
-        total = Count(0)
-        for v in dict.fromkeys(sub.w.verts):
-            total = total + count_N(graph, v, sub.w)
-        return total, None
+        return PathCounts(graph).N(dict.fromkeys(sub.w.verts), set(sub.w.edges)), None
     if sub.kind == "infinite-chain":
         return INFINITE, (sub.c, sub.q, sub.c.start)
     if len(set(sub.p.edges)) >= 2:
@@ -143,10 +140,8 @@ def index_verdict(graph, sub):
     wit = find_escape_circuit(graph, sub.d, forbidden_loop=a)
     if wit is not None:
         return INFINITE, wit
-    loop = graph.path((a,))
-    total = count_N(graph, graph.src(a), loop) * (m - 1)
-    for v in dict.fromkeys(sub.d.verts):
-        total = total + count_N(graph, v, sub.d, removed={a})
+    total = PathCounts(graph).N((graph.src(a),), {a}) * (m - 1)
+    total = total + PathCounts(graph, {a}).N(dict.fromkeys(sub.d.verts), set(sub.d.edges))
     return total, None
 
 

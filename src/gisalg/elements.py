@@ -32,6 +32,10 @@ class Element(tuple):
                 f"components start at {left.start!r} and {right.start!r}"
             )
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes both fields
+        return tuple(self)
+
     left = property(itemgetter(0))
     right = property(itemgetter(1))
 

@@ -46,6 +46,10 @@ class Path(tuple):
         if len(self[1]) != len(self[0]) + 1:
             raise ConstructionError("path needs one more vertex than edges")
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes both fields
+        return tuple(self)
+
     edges = property(itemgetter(0))
     verts = property(itemgetter(1))
 
@@ -332,55 +336,77 @@ class Count:
 INFINITE = Count(None)
 
 
+class PathCounts:
+    """Paths leaving each vertex of `graph` once the `removed` edges are
+    deleted, the empty path included; INFINITE where a circuit is reachable.
+
+    One pass peels sinks off the whole graph, O(V+E): a vertex is counted
+    once every edge out of it leads to a counted vertex, and whatever is never
+    peeled reaches a circuit.  Every read after that is a lookup.
+    """
+
+    __slots__ = ("graph", "removed", "_n")
+
+    def __init__(self, graph, removed=frozenset()):
+        removed = frozenset(removed)
+        for e in removed:
+            if e not in graph.edges:
+                raise ConstructionError(f"unknown edge {e!r}")
+        ends = graph._edges
+        out_count = dict.fromkeys(graph.vertices, 0)
+        sources = {v: [] for v in graph.vertices}
+        for e, (s, t) in ends.items():
+            if e not in removed:
+                out_count[s] += 1
+                sources[t].append(s)
+        n = dict.fromkeys(graph.vertices)
+        ready = [v for v, k in out_count.items() if k == 0]
+        while ready:
+            u = ready.pop()
+            n[u] = 1 + sum(
+                n[ends[e][1]] for e in graph._out[u] if e not in removed
+            )
+            for s in sources[u]:
+                out_count[s] -= 1
+                if out_count[s] == 0:
+                    ready.append(s)
+        self.graph = graph
+        self.removed = removed
+        self._n = n
+
+    def __getitem__(self, v):
+        if v not in self._n:
+            raise UnknownVertexError(f"unknown vertex {v!r}")
+        n = self._n[v]
+        return INFINITE if n is None else Count(n)
+
+    def N(self, vertices, banned):
+        """Sum over `vertices` of the paths from each whose first edge is not
+        in `banned`, the empty path included.
+
+        Its terms are the per-vertex terms behind every finite index formula.
+        """
+        n, ends = self._n, self.graph._edges
+        total = 0
+        for v in vertices:
+            total += 1
+            for e in self.graph.out_edges(v):
+                if e in self.removed or e in banned:
+                    continue
+                k = n[ends[e][1]]
+                if k is None:
+                    return INFINITE
+                total += k
+        return Count(total)
+
+
 def count_paths_from(graph, v, removed=frozenset()):
     """Number of paths leaving v (the empty path included), or INFINITE.
 
     Infinite exactly when a circuit is reachable from v through the allowed
     edges.  `removed` deletes edges before counting.
     """
-    removed = frozenset(removed)
-    for e in removed:
-        if e not in graph.edges:
-            raise ConstructionError(f"unknown edge {e!r}")
-    if v not in graph.vertices:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    reach = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for e in graph.out_edges(u):
-            if e in removed:
-                continue
-            t = graph.tgt(e)
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    # peel sinks first; anything left over sits on a reachable circuit
-    out_count = {u: 0 for u in reach}
-    incoming = {u: [] for u in reach}
-    for u in reach:
-        for e in graph.out_edges(u):
-            if e in removed:
-                continue
-            out_count[u] += 1
-            incoming[graph.tgt(e)].append(e)
-    queue = deque(sorted(u for u in reach if out_count[u] == 0))
-    totals = {}
-    while queue:
-        u = queue.popleft()
-        totals[u] = 1 + sum(
-            totals[graph.tgt(e)]
-            for e in graph.out_edges(u)
-            if e not in removed
-        )
-        for e in incoming[u]:
-            s = graph.src(e)
-            out_count[s] -= 1
-            if out_count[s] == 0:
-                queue.append(s)
-    if len(totals) < len(reach):
-        return INFINITE
-    return Count(totals[v])
+    return PathCounts(graph, removed)[v]
 
 
 def count_N(graph, v, w, removed=frozenset()):
@@ -389,14 +415,7 @@ def count_N(graph, v, w, removed=frozenset()):
     The per-vertex term behind every finite index formula.  `removed` deletes
     edges from the graph before anything is counted.
     """
-    removed = frozenset(removed)
-    banned = set(w.edges)
-    total = Count(1)
-    for e in graph.out_edges(v):
-        if e in removed or e in banned:
-            continue
-        total = total + count_paths_from(graph, graph.tgt(e), removed)
-    return total
+    return PathCounts(graph, removed).N((v,), set(w.edges))
 
 
 def iter_paths(graph, start, removed=frozenset(), skip_first=frozenset(), max_len=None):
@@ -440,50 +459,86 @@ def _extended(edges, verts, e, t):
 # escape witnesses
 
 
-def _simple_circuits_from(graph, s):
-    # vertex-simple circuits based at s, in lexicographic edge order
-    found = []
-    seen = {s}
-    stack = [(graph.empty_path(s), iter(graph.out_edges(s)))]
-    while stack:
-        (pe, pv), edges = stack[-1]
-        for e in edges:
-            t = graph.tgt(e)
-            if t != s and t in seen:
-                continue
-            q = _extended(pe, pv, e, t)
-            if t == s:
-                found.append(q)
+def _cyclic_components(graph, roots, forbidden_loop):
+    # Tarjan's strongly connected components over the vertices reachable from
+    # roots, with explicit stacks: maps each vertex on a circuit other than the
+    # lone forbidden loop to the root of its component.  Loops join no two
+    # vertices, so the forbidden one needs no removing; it only fails to make
+    # its vertex cyclic.
+    out, ends = graph._out, graph._edges
+    index, low = {}, {}
+    stack, on_stack, looped = [], set(), set()
+    component = {}
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, edges = work[-1]
+            for e in edges:
+                t = ends[e][1]
+                if t not in index:
+                    index[t] = low[t] = len(index)
+                    stack.append(t)
+                    on_stack.add(t)
+                    work.append((t, iter(out[t])))
+                    break
+                if t == v:
+                    if e != forbidden_loop:
+                        looped.add(v)
+                elif t in on_stack and index[t] < low[v]:
+                    low[v] = index[t]
             else:
-                seen.add(t)
-                stack.append((q, iter(graph.out_edges(t))))
-                break
-        else:
-            stack.pop()
-            seen.discard(pv[-1])
-    return found
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        x = stack.pop()
+                        on_stack.discard(x)
+                        members.append(x)
+                        if x == v:
+                            break
+                    if len(members) > 1 or v in looped:
+                        for x in members:
+                            component[x] = v
+    return component
 
 
-def _reach_path(graph, v0, targets, blocked):
-    # shortest path from v0 to any target avoiding blocked edges, BFS order
-    if v0 in targets:
-        return Path((), (v0,))
-    seen = {v0}
-    queue = deque([Path((), (v0,))])
+def _traced_path(graph, parent, v):
+    # the path into v along BFS parent edges, from the source that reached it
+    edges, verts = [], [v]
+    while parent[v] is not None:
+        e = parent[v]
+        edges.append(e)
+        v = graph._edges[e][0]
+        verts.append(v)
+    return Path(reversed(edges), reversed(verts))
+
+
+def _shortest_circuit(graph, u, component, forbidden_loop):
+    # BFS from u inside u's component; the first edge back into u closes a
+    # shortest circuit through u
+    out, ends = graph._out, graph._edges
+    parent = {u: None}
+    queue = deque([u])
     while queue:
-        pe, pv = queue.popleft()
-        for e in graph.out_edges(pv[-1]):
-            if e in blocked:
-                continue
-            t = graph.tgt(e)
-            if t in seen:
-                continue
-            q = _extended(pe, pv, e, t)
-            if t in targets:
-                return q
-            seen.add(t)
-            queue.append(q)
-    return None
+        x = queue.popleft()
+        for e in out[x]:
+            t = ends[e][1]
+            if t == u:
+                if x == u and e == forbidden_loop:
+                    continue
+                p = _traced_path(graph, parent, x)
+                return Path(p.edges + (e,), p.verts + (u,))
+            if t not in parent and component.get(t) == component[u]:
+                parent[t] = e
+                queue.append(t)
+    raise AssertionError("unreachable: u lies on a circuit")
 
 
 def find_escape_circuit(graph, anchor, forbidden_loop=None):
@@ -492,22 +547,45 @@ def find_escape_circuit(graph, anchor, forbidden_loop=None):
     The witness is a circuit c, a vertex v0 of `anchor`, and a path g from v0
     to a vertex of c using no edge of c or of `anchor`.  With forbidden_loop
     set, circuits consisting of that single loop edge alone are skipped.
-    Returns None when no witness exists; restricting the search to
-    vertex-simple circuits and vertex-simple connectors loses nothing, since
-    any witness shortens to one of that shape.
+    Returns None when no witness exists.
+
+    Call a vertex cyclic when it lies on an allowed circuit: its strongly
+    connected component has two vertices or more, or it carries a loop other
+    than the forbidden one.  A witness exists iff some path from a vertex of
+    `anchor` that avoids the anchor's edges reaches a cyclic vertex u.  Cut
+    at its first cyclic vertex, such a path uses no edge of any circuit, since
+    each of its edges leaves a vertex on none; so it is the connector, and a
+    shortest circuit through u completes the witness.  One Tarjan pass from
+    the anchor's vertices finds the cyclic vertices, one breadth-first search
+    from them in anchor order finds u and the shortest connector, and a
+    second one inside u's component finds the circuit: O(V+E) in all.
     """
-    anchor_vs = list(dict.fromkeys(anchor.verts))
-    for s in sorted(graph.vertices):
-        for c in _simple_circuits_from(graph, s):
-            if forbidden_loop is not None and all(e == forbidden_loop for e in c.edges):
+    out, ends = graph._out, graph._edges
+    sources = list(dict.fromkeys(anchor.verts))
+    component = _cyclic_components(graph, sources, forbidden_loop)
+    if not component:
+        return None
+    blocked = set(anchor.edges)
+    parent = dict.fromkeys(sources)
+    queue = deque(sources)
+    hit = next((v for v in sources if v in component), None)
+    while hit is None and queue:
+        x = queue.popleft()
+        for e in out[x]:
+            if e in blocked:
                 continue
-            blocked = set(c.edges) | set(anchor.edges)
-            targets = set(c.verts)
-            for v0 in anchor_vs:
-                g = _reach_path(graph, v0, targets, blocked)
-                if g is not None:
-                    return c, g, v0
-    return None
+            t = ends[e][1]
+            if t in parent:
+                continue
+            parent[t] = e
+            if t in component:
+                hit = t
+                break
+            queue.append(t)
+    if hit is None:
+        return None
+    g = _traced_path(graph, parent, hit)
+    return _shortest_circuit(graph, hit, component, forbidden_loop), g, g.start
 
 
 def check_escape_witness(graph, anchor, witness, forbidden_loop=None):

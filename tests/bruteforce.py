@@ -171,3 +171,56 @@ def bf_cycle_members(p, d, bound):
             for y in comps:
                 out.add(Element(x, y))
     return out
+
+
+def bf_simple_circuits(graph, s):
+    """Every vertex-simple circuit based at s, by depth-first extension."""
+    found = []
+
+    def walk(p):
+        for e in graph.out_edges(p.verts[-1]):
+            t = graph.tgt(e)
+            q = Path(p.edges + (e,), p.verts + (t,))
+            if t == s:
+                found.append(q)
+            elif t not in p.verts:
+                walk(q)
+
+    walk(Path((), (s,)))
+    return found
+
+
+def bf_reaches(graph, v0, targets, blocked):
+    """Whether a path from v0 that avoids the blocked edges ends in targets."""
+    seen = {v0}
+    frontier = [v0]
+    while frontier:
+        if any(v in targets for v in frontier):
+            return True
+        nxt = []
+        for v in frontier:
+            for e in graph.out_edges(v):
+                t = graph.tgt(e)
+                if e not in blocked and t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return False
+
+
+def bf_escape_exists(graph, anchor, forbidden_loop=None):
+    """Whether an escape witness exists, by enumerating circuits.
+
+    Some circuit c, other than the lone forbidden loop, is reached from a
+    vertex of anchor by a path using no edge of c or of anchor.  Each vertex
+    of a circuit lies on a vertex-simple circuit made of its edges, so trying
+    the vertex-simple circuits from every vertex loses nothing.
+    """
+    for s in graph.vertices:
+        for c in bf_simple_circuits(graph, s):
+            if c.edges == (forbidden_loop,):
+                continue
+            blocked = set(c.edges) | set(anchor.edges)
+            if any(bf_reaches(graph, v0, set(c.verts), blocked) for v0 in anchor.verts):
+                return True
+    return False

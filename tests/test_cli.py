@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,15 @@ def test_index_on_a_long_ring_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "index", str(graph), "chain x0")
     assert code == 0, err
     assert out.startswith("infinite\n")
+
+
+def test_verdicts_on_long_chains_are_fast(capsys):
+    t0 = time.perf_counter()
+    assert lines_of(capsys, "cosets", "chain1100", "chain e1") == ["(e1|@v1)", "(@v0|@v0)"]
+    full = ".".join(f"e{i}" for i in range(3000, 0, -1))
+    assert lines_of(capsys, "index", "chain3000", f"chain {full}") == ["finite 3001"]
+    # both verdicts are O(V+E): well under a second, with room for slow machines
+    assert time.perf_counter() - t0 < 10
 
 
 def test_domain_errors_exit_1(capsys):

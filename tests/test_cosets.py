@@ -6,6 +6,7 @@ union covers every element x with x·x^-1 in the subsemigroup).
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from gisalg import (
     InfiniteIndexError,
     NotACosetError,
     ZERO,
+    chain,
     check_escape_witness,
     coset_elements_bounded,
     coset_of,
@@ -135,15 +137,45 @@ def test_index_unconditionally_infinite(bouquet2, loopx):
 
 
 def test_index_on_a_ring_longer_than_the_recursion_limit():
-    n = 3000
-    ring = Graph(
-        [f"r{i}" for i in range(n)],
-        {f"x{i}": (f"r{i}", f"r{(i + 1) % n}") for i in range(n)},
-    )
+    ring = _ring(3000)
     sub = parse_subsemigroup(ring, "chain x0")
     cnt, wit = index_verdict(ring, sub)
     assert cnt == INFINITE
     assert check_escape_witness(ring, sub.w, wit)
+
+
+def _kn_tail(n):
+    # K_n, a bridge k0 -> t2, and the acyclic tail t2 -s2-> t1 -s1-> t0
+    edges = {f"c{i}x{j}": (f"k{i}", f"k{j}") for i in range(n) for j in range(n) if i != j}
+    edges.update(br=("k0", "t2"), s2=("t2", "t1"), s1=("t1", "t0"))
+    return Graph([f"k{i}" for i in range(n)] + ["t0", "t1", "t2"], edges)
+
+
+def _ring(n):
+    return Graph(
+        [f"r{i}" for i in range(n)],
+        {f"x{i}": (f"r{i}", f"r{(i + 1) % n}") for i in range(n)},
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, spec, expected",
+    [
+        (_kn_tail(12), "chain s2.s1", Count(3)),
+        (chain(5000), "chain " + ".".join(f"e{i}" for i in range(5000, 0, -1)), Count(5001)),
+        (_ring(5000), "chain x0", INFINITE),
+    ],
+    ids=["K12+tail", "chain5000", "ring5000"],
+)
+def test_index_verdict_time_is_linear(graph, spec, expected):
+    # each verdict is O(V+E); enumerating the circuits of K_12 would take hours
+    sub = parse_subsemigroup(graph, spec)
+    t0 = time.perf_counter()
+    cnt, wit = index_verdict(graph, sub)
+    assert time.perf_counter() - t0 < 2
+    assert cnt == expected
+    if wit is not None:
+        assert check_escape_witness(graph, sub.w, wit)
 
 
 def test_index_improper(loopx):

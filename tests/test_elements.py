@@ -1,6 +1,8 @@
 """Element arithmetic against the spec'd examples and the brute-force twin."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -104,6 +106,12 @@ def test_construction(loopx):
     with pytest.raises(AttributeError):
         x.left = k
 
+
+def test_copy_and_pickle_round_trip(loopx):
+    x = parse_element(loopx, "(e.f|e.k)")
+    for obj in (x.left, x, ZERO):
+        for got in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert got == obj and type(got) is type(obj)
 
 def test_literals(loopx):
     assert parse_element(loopx, "(e.f|e.k)").literal() == "(e.f|e.k)"

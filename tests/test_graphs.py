@@ -1,5 +1,7 @@
 """Paths, graphs, path counting, and escape-circuit search."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from bruteforce import (
     bf_concat,
     bf_conjugate,
     bf_count_paths,
+    bf_escape_exists,
     bf_paths,
     bf_primitive_root,
     bf_rotations,
@@ -19,6 +22,7 @@ from gisalg import (
     CompositionError,
     ConstructionError,
     Count,
+    Graph,
     WrongKindError,
     ParseError,
     Path,
@@ -339,3 +343,49 @@ def test_escape_witness_checker_rejects(loopx, loopxf):
         loopxf, loopxf.path(["e", "f"]), (loopxf.path(["a"]),) + wit[1:],
         forbidden_loop="a",
     )
+
+
+# -------------------------------------------- random graphs, differential
+
+RANDOM_GRAPHS = 2000
+
+
+def random_cases(seed, n):
+    """(graph, anchor, loops): graphs of 1-5 vertices and up to 8 edges, an
+    anchor from a random walk of up to 3 steps, and the graph's loop edges."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        vs = [f"v{i}" for i in range(rng.randint(1, 5))]
+        es = {f"e{i}": (rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(0, 8))}
+        g = Graph(vs, es)
+        start = v = rng.choice(vs)
+        names = []
+        for _ in range(rng.randint(0, 3)):
+            if not g.out_edges(v):
+                break
+            e = rng.choice(g.out_edges(v))
+            names.append(e)
+            v = g.tgt(e)
+        loops = [e for e, (s, t) in es.items() if s == t]
+        yield g, g.path(names, at=start), loops
+
+
+def test_escape_search_matches_circuit_enumeration():
+    for g, anchor, loops in random_cases(11, RANDOM_GRAPHS):
+        for forbidden in [None] + loops:
+            wit = find_escape_circuit(g, anchor, forbidden_loop=forbidden)
+            case = (sorted(g.edges.items()), anchor, forbidden, wit)
+            assert (wit is not None) == bf_escape_exists(g, anchor, forbidden), case
+            if wit is not None:
+                assert check_escape_witness(g, anchor, wit, forbidden_loop=forbidden), case
+
+
+def test_path_counts_match_enumeration():
+    for g, anchor, loops in random_cases(11, RANDOM_GRAPHS):
+        for removed in [[]] + [[e] for e in loops]:
+            want = {v: bf_count(g, v, removed) for v in g.vertices}
+            banned = set(removed) | set(anchor.edges)
+            for v in sorted(g.vertices):
+                assert count_paths_from(g, v, removed) == want[v]
+                n = sum((want[g.tgt(e)] for e in g.out_edges(v) if e not in banned), Count(1))
+                assert count_N(g, v, anchor, removed) == n
